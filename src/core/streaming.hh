@@ -66,18 +66,6 @@ struct StreamingConfig
     std::size_t queue_capacity = 8;
 
     /**
-     * > 0: condition chunks on this many worker threads through a
-     * trng::ParallelConditioner instead of inline on the consumer
-     * thread. Chunk-local stages (sha256, raw) overlap across chunks;
-     * stateful stages (vonneumann, health) are serialized by sequence
-     * ticket, and a reorder buffer keeps delivery order -- the output
-     * is bit-identical to the serial path for any worker count. 0 (the
-     * default) keeps conditioning inline. Ignored when the pipeline is
-     * empty (raw passthrough needs no workers).
-     */
-    int conditioning_workers = 0;
-
-    /**
      * Conditioning pipeline as an ordered list of registered stage
      * names (trng::makeStage: "raw", "vonneumann", "sha256",
      * "health", plus anything registered at runtime). Empty means raw
@@ -303,7 +291,6 @@ class StreamingTrng
     bool pushPending(std::size_t engine_idx, util::BitStream &pending,
                      bool last);
     void joinProducers();
-    void feederLoop();
     std::optional<StreamChunk> nextRawChunk(bool blocking,
                                             bool &would_block);
     std::optional<util::BitStream> nextChunkImpl(bool blocking);
@@ -331,14 +318,6 @@ class StreamingTrng
     std::map<std::pair<int, std::uint64_t>, StreamChunk> stash_;
     trng::ConditioningPipeline pipeline_;
     std::chrono::steady_clock::time_point host_start_;
-
-    // Parallel-conditioning plane (config_.conditioning_workers > 0):
-    // a feeder thread runs the raw-chunk sequencing + validation that
-    // the consumer thread runs inline in serial mode, and pushes raw
-    // chunks into the worker pool; nextChunk() pops conditioned chunks
-    // in submission order. Recreated per session.
-    std::unique_ptr<trng::ParallelConditioner> conditioner_;
-    std::thread feeder_;
 
     StreamingStats stats_;
 };

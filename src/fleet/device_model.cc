@@ -9,18 +9,21 @@ Vendor::builtin()
 {
     std::vector<Vendor> v(3);
 
-    v[0].name = "A";
+    // Names are move-assigned from temporaries: assigning a literal
+    // to an existing std::string trips a GCC 12 -Wrestrict false
+    // positive.
+    v[0].name = std::string("A");
     v[0].manufacturer = dram::Manufacturer::A;
     // Vendor A parts route addresses straight through (the legacy
     // single-device behaviour).
 
-    v[1].name = "B";
+    v[1].name = std::string("B");
     v[1].manufacturer = dram::Manufacturer::B;
     v[1].mapping.row_kind =
         dram::AddressMapping::RowKind::SubarrayReverse;
     v[1].mapping.bank_rotate = 3;
 
-    v[2].name = "C";
+    v[2].name = std::string("C");
     v[2].manufacturer = dram::Manufacturer::C;
     v[2].mapping.row_kind = dram::AddressMapping::RowKind::XorScramble;
     v[2].mapping.row_xor = 0x2a5;

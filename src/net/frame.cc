@@ -9,9 +9,11 @@ FrameEncoder::appendRequest(std::vector<std::uint8_t> &out,
                             std::uint16_t priority,
                             std::uint32_t num_bytes)
 {
-    unsigned char header[kHeaderBytes];
-    encodeRequestHeader(header, priority, num_bytes);
-    out.insert(out.end(), header, header + kHeaderBytes);
+    // Encode in place: copying a stack header into an empty vector
+    // trips a GCC 12 -Wstringop-overflow false positive.
+    const std::size_t at = out.size();
+    out.resize(at + kHeaderBytes);
+    encodeRequestHeader(out.data() + at, priority, num_bytes);
 }
 
 void
@@ -20,11 +22,11 @@ FrameEncoder::appendResponse(std::vector<std::uint8_t> &out,
                              const std::uint8_t *payload,
                              std::size_t payload_bytes)
 {
-    unsigned char header[kHeaderBytes];
-    encodeResponseHeader(header, status,
+    const std::size_t at = out.size();
+    out.reserve(at + kHeaderBytes + payload_bytes);
+    out.resize(at + kHeaderBytes);
+    encodeResponseHeader(out.data() + at, status,
                          static_cast<std::uint32_t>(payload_bytes));
-    out.reserve(out.size() + kHeaderBytes + payload_bytes);
-    out.insert(out.end(), header, header + kHeaderBytes);
     if (payload_bytes > 0)
         out.insert(out.end(), payload, payload + payload_bytes);
 }

@@ -241,9 +241,9 @@ Server::updateDegraded(std::uint64_t now_ns)
         return;
 
     if (now_ns >= next_health_poll_ns_) {
-        // Rate-limit the Service stats snapshot: it takes every shard
-        // lock, so polling it each epoll iteration would contend with
-        // the producers for no fresher an answer.
+        // Rate-limit the Service stats snapshot: it takes the
+        // reservoir lock, so polling it each epoll iteration would
+        // contend with the producers for no fresher an answer.
         next_health_poll_ns_ = now_ns + 20'000'000ULL;
         const trng::ServiceStats health = service_.stats();
         pool_collapsed_ = health.healthy_members == 0;

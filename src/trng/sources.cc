@@ -258,6 +258,11 @@ class StreamingSource final : public EntropySource
   public:
     explicit StreamingSource(const Params &params)
     {
+        if (params.has("conditioning_workers"))
+            throw std::invalid_argument(
+                "trng source \"streaming\": conditioning_workers was "
+                "removed: the service now has one reservoir and serial "
+                "conditioning");
         const int channels =
             static_cast<int>(boundedInt(params, "channels", 2, 1));
         trng_ = std::make_unique<core::MultiChannelTrng>(
@@ -273,8 +278,6 @@ class StreamingSource final : public EntropySource
             boundedInt(params, "validate_threads", 0, 0));
         stream_config_.validate_alpha = params.getDouble(
             "validate_alpha", stream_config_.validate_alpha);
-        stream_config_.conditioning_workers = static_cast<int>(
-            boundedInt(params, "conditioning_workers", 0, 0));
         stream_config_.conditioning = params.getList("conditioning");
         stream_config_.stage_params = params;
 

@@ -25,7 +25,7 @@ model()
 
 TEST(PowerModelTest, EmptyTraceOnlyBackground)
 {
-    const auto e = model().traceEnergy({}, 1000.0, 0.0);
+    const auto e = model().traceEnergy(CommandTrace{}, 1000.0, 0.0);
     EXPECT_DOUBLE_EQ(e.act_pre_nj, 0.0);
     EXPECT_DOUBLE_EQ(e.read_nj, 0.0);
     EXPECT_GT(e.background_nj, 0.0);
@@ -61,8 +61,8 @@ TEST(PowerModelTest, ActEnergyScalesWithCount)
 
 TEST(PowerModelTest, ActiveStandbyCostsMoreThanPrecharged)
 {
-    const auto busy = model().traceEnergy({}, 1000.0, 1000.0);
-    const auto idle = model().traceEnergy({}, 1000.0, 0.0);
+    const auto busy = model().traceEnergy(CommandTrace{}, 1000.0, 1000.0);
+    const auto idle = model().traceEnergy(CommandTrace{}, 1000.0, 0.0);
     EXPECT_GT(busy.background_nj, idle.background_nj);
 }
 

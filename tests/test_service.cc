@@ -640,105 +640,10 @@ TEST(ServiceConfig, FromParamsParsesServiceAndPoolSections)
     EXPECT_EQ(session.read(4096).size(), 4096u);
 }
 
-TEST(Service, ShardsPartitionMembersAndSessionsRoundRobin)
+TEST(Service, QuarantineFailsOverWithoutStallingEitherSession)
 {
-    // Four members, default shards (= pool size): one member and one
-    // quarter of the reservoir per shard; sessions land round-robin.
-    ServiceConfig config;
-    for (int i = 0; i < 4; ++i)
-        config.pool.push_back(PoolMemberConfig{
-            "testcounter",
-            Params{{"chunk_bits", "8192"},
-                   {"start", std::to_string(i * 1000000)}},
-            std::string("m") + std::to_string(i)});
-    config.reservoir_bits = 1u << 18;
-    Service service(config);
-    EXPECT_EQ(service.shardCount(), 4u);
-
-    std::vector<Session> sessions;
-    for (int i = 0; i < 8; ++i)
-        sessions.push_back(service.open());
-    for (auto &session : sessions)
-        EXPECT_EQ(session.read(8192).size(), 8192u);
-
-    const auto stats = service.stats();
-    ASSERT_EQ(stats.shards.size(), 4u);
-    std::uint64_t capacity = 0, harvested = 0, distributed = 0;
-    for (const auto &shard : stats.shards) {
-        EXPECT_EQ(shard.members, 1u);
-        EXPECT_EQ(shard.sessions, 2u); // 8 sessions round-robin.
-        capacity += shard.reservoir_capacity;
-        harvested += shard.harvested_bits;
-        distributed += shard.distributed_bits;
-    }
-    EXPECT_EQ(capacity, config.reservoir_bits);
-    // Per-shard counters are a partition of the totals.
-    EXPECT_EQ(harvested, stats.harvested_bits);
-    EXPECT_EQ(distributed, stats.distributed_bits);
-    EXPECT_EQ(stats.delivered_bits, 8u * 8192u);
-}
-
-TEST(Service, ExplicitShardCountGroupsMembers)
-{
-    ServiceConfig config;
-    for (int i = 0; i < 4; ++i)
-        config.pool.push_back(PoolMemberConfig{
-            "testcounter", Params{{"chunk_bits", "8192"}},
-            std::string("m") + std::to_string(i)});
-    config.shards = 2;
-    Service service(config);
-    EXPECT_EQ(service.shardCount(), 2u);
-    const auto stats = service.stats();
-    ASSERT_EQ(stats.shards.size(), 2u);
-    EXPECT_EQ(stats.shards[0].members, 2u);
-    EXPECT_EQ(stats.shards[1].members, 2u);
-
-    // Values above the pool size clamp down (a member-less shard
-    // would live off stealing alone).
-    config.shards = 99;
-    Service clamped(config);
-    EXPECT_EQ(clamped.shardCount(), 4u);
-}
-
-TEST(Service, WorkStealingDrainsStarvedShard)
-{
-    // Shard 0's member is bounded and tiny; shard 1's is unbounded.
-    // The session homed on shard 0 demands far more than its home
-    // member can ever supply, so the shard-0 dispatcher must refill
-    // by stealing from shard 1 -- the read succeeding at all proves
-    // the starved shard was drained and restocked.
-    const std::uint64_t kHomeSupply = 1u << 14;
-    ServiceConfig config;
-    config.pool.push_back(PoolMemberConfig{
-        "testcounter",
-        Params{{"total_bits", std::to_string(kHomeSupply)},
-               {"chunk_bits", "8192"}},
-        "bounded"});
-    config.pool.push_back(PoolMemberConfig{
-        "testcounter",
-        Params{{"chunk_bits", "8192"}, {"start", "1000000"}},
-        "deep"});
-    config.shards = 2;
-    Service service(config);
-
-    Session session = service.open(); // Homed on shard 0.
-    EXPECT_EQ(session.read(1u << 20).size(), 1u << 20);
-
-    const auto stats = service.stats();
-    ASSERT_EQ(stats.shards.size(), 2u);
-    EXPECT_GT(stats.shards[0].steals, 0u);
-    EXPECT_GE(stats.shards[0].stolen_bits,
-              (1u << 20) - kHomeSupply);
-    EXPECT_EQ(stats.steals,
-              stats.shards[0].steals + stats.shards[1].steals);
-    EXPECT_LE(stats.shards[0].harvested_bits, kHomeSupply);
-}
-
-TEST(Service, QuarantineFailsOverAcrossShardsWithoutStalling)
-{
-    // The flaky member is alone on shard 0. After its alarm trips,
-    // the shard-0 session must keep reading (fed by steals from shard
-    // 1) and the shard-1 session must never notice.
+    // After the flaky member's alarm trips, the steady member alone
+    // must keep both concurrent readers going to their full budgets.
     const std::uint64_t kTrip = 1u << 16;
     ServiceConfig config;
     config.pool.push_back(PoolMemberConfig{
@@ -750,22 +655,21 @@ TEST(Service, QuarantineFailsOverAcrossShardsWithoutStalling)
         "testcounter",
         Params{{"chunk_bits", "8192"}, {"start", "1000000"}},
         "steady"});
-    config.shards = 2;
     config.reservoir_bits = 1u << 16;
     Service service(config);
 
-    Session on_flaky = service.open();  // Shard 0.
-    Session on_steady = service.open(); // Shard 1.
-    std::uint64_t flaky_got = 0, steady_got = 0;
-    std::thread steady_reader([&] {
+    Session first = service.open();
+    Session second = service.open();
+    std::uint64_t first_got = 0, second_got = 0;
+    std::thread second_reader([&] {
         for (int i = 0; i < 32; ++i)
-            steady_got += on_steady.read(1u << 14).size();
+            second_got += second.read(1u << 14).size();
     });
     for (int i = 0; i < 32; ++i)
-        flaky_got += on_flaky.read(1u << 14).size();
-    steady_reader.join();
-    EXPECT_EQ(flaky_got, 32u << 14);
-    EXPECT_EQ(steady_got, 32u << 14);
+        first_got += first.read(1u << 14).size();
+    second_reader.join();
+    EXPECT_EQ(first_got, 32u << 14);
+    EXPECT_EQ(second_got, 32u << 14);
 
     const auto stats = pollStats(service, [](const ServiceStats &st) {
         return st.members[0].quarantined;
@@ -773,34 +677,44 @@ TEST(Service, QuarantineFailsOverAcrossShardsWithoutStalling)
     EXPECT_TRUE(stats.members[0].quarantined);
     EXPECT_FALSE(stats.members[1].quarantined);
     EXPECT_EQ(stats.healthy_members, 1);
-    EXPECT_GT(stats.shards[0].steals, 0u);
 }
 
-TEST(ServiceConfig, FromParamsParsesShardingKnobs)
+TEST(ServiceConfig, RemovedKeysFailByName)
 {
-    const Params params{{"service.shards", "2"},
-                        {"service.conditioning_workers", "3"},
-                        {"pool.a.source", "testcounter"},
-                        {"pool.b.source", "streaming"},
-                        {"pool.c.source", "streaming"},
-                        {"pool.c.conditioning_workers", "1"}};
-    const ServiceConfig config = ServiceConfig::fromParams(params);
-    EXPECT_EQ(config.shards, 2u);
-    ASSERT_EQ(config.pool.size(), 3u);
-    // The service-level worker count seeds every streaming member
-    // that does not pin its own; non-streaming members are untouched.
-    EXPECT_FALSE(config.pool[0].params.has("conditioning_workers"));
-    EXPECT_EQ(config.pool[1].params.getInt("conditioning_workers"), 3);
-    EXPECT_EQ(config.pool[2].params.getInt("conditioning_workers"), 1);
+    const auto expectRemoved = [](const Params &params,
+                                  const std::string &key) {
+        try {
+            (void)ServiceConfig::fromParams(params);
+            ADD_FAILURE() << key << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(key), std::string::npos) << what;
+            EXPECT_NE(what.find("removed"), std::string::npos) << what;
+            EXPECT_NE(what.find("one reservoir and serial conditioning"),
+                      std::string::npos)
+                << what;
+        }
+    };
+    expectRemoved(Params{{"service.shards", "1"},
+                         {"pool.a.source", "testcounter"}},
+                  "shards");
+    expectRemoved(Params{{"service.conditioning_workers", "0"},
+                         {"pool.a.source", "testcounter"}},
+                  "conditioning_workers");
 
-    EXPECT_THROW(ServiceConfig::fromParams(
-                     Params{{"service.shards", "-1"},
-                            {"pool.a.source", "testcounter"}}),
-                 std::invalid_argument);
-    EXPECT_THROW(ServiceConfig::fromParams(
-                     Params{{"service.conditioning_workers", "-2"},
-                            {"pool.a.source", "testcounter"}}),
-                 std::invalid_argument);
+    // The per-member key fails when the streaming source is built.
+    try {
+        (void)Registry::make("streaming",
+                             Params{{"conditioning_workers", "2"}});
+        ADD_FAILURE() << "streaming conditioning_workers was accepted";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("conditioning_workers"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("one reservoir and serial conditioning"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(ServiceConfig, FromParamsRejectsMalformedConfigs)
